@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet lint lint-typed lint-selftest cover cover-update fuzz-smoke ingest-smoke bench bench-parallel bench-flat bench-flat-smoke serve e2e chaos cluster-e2e
+.PHONY: all build test race vet lint lint-typed lint-selftest cover cover-update fuzz-smoke ingest-smoke bench serve e2e chaos cluster-e2e
 
 all: build vet lint test
 
@@ -78,22 +78,6 @@ ingest-smoke:
 
 bench:
 	$(GO) test -run xxx -bench . -benchmem .
-
-# Serial-vs-parallel engine comparison; writes BENCH_parallel.json with
-# ns/op, speedup, and the host core count (speedup is bounded by it).
-bench-parallel:
-	$(GO) run ./cmd/benchpar
-
-# Flat-arena engine and batched what-if vs their allocation-heavy
-# baselines; writes BENCH_flat.json (full run: c6288 kernels + c7552
-# optimizer analysis time).
-bench-flat:
-	$(GO) run ./cmd/benchpar -out '' -inc-out '' -flat-out BENCH_flat.json
-
-# CI variant: one small circuit, short caps — exercises every flat and
-# batched code path end to end in well under a minute.
-bench-flat-smoke:
-	$(GO) run ./cmd/benchpar -smoke -flat-out /dev/null
 
 # Run the sstad service locally (Ctrl-C drains gracefully).
 serve:

@@ -65,13 +65,13 @@ type JobRequest struct {
 	// Samples and Seed drive the Monte-Carlo engine.
 	Samples int   `json:"samples,omitempty"`
 	Seed    int64 `json:"seed,omitempty"`
-	// Workers, PDFPoints, MaxIters and FullRecompute mirror
-	// repro.RunOptions: the optimizers run their whole-circuit analyses
-	// incrementally unless FullRecompute is set, with bit-identical
-	// results either way.
-	Workers       int  `json:"workers,omitempty"`
-	PDFPoints     int  `json:"pdf_points,omitempty"`
-	MaxIters      int  `json:"max_iters,omitempty"`
+	// Workers, PDFPoints and MaxIters mirror repro.RunOptions.
+	Workers   int `json:"workers,omitempty"`
+	PDFPoints int `json:"pdf_points,omitempty"`
+	MaxIters  int `json:"max_iters,omitempty"`
+	// FullRecompute is accepted and ignored: the optimizers always repair
+	// timing incrementally (bit-identical to a full recompute). The field
+	// stays on the wire for one release so older clients keep working.
 	FullRecompute bool `json:"full_recompute,omitempty"`
 	// SlackFrac is the recover operation's cost slack fraction.
 	SlackFrac float64 `json:"slack_frac,omitempty"`
@@ -192,13 +192,12 @@ type OptimizeResult struct {
 	StoppedBy   string  `json:"stopped_by"`
 	RuntimeSec  float64 `json:"runtime_sec"`
 	// AnalysisTimeSec is the share of RuntimeSec spent in whole-circuit
-	// timing analysis (the part FullRecompute toggles between incremental
-	// repair and from-scratch recompute).
+	// timing analysis (the initial analysis plus incremental repairs).
 	AnalysisTimeSec float64 `json:"analysis_time_sec,omitempty"`
 	// Evals counts the timing evaluations the run requested and
 	// NodeEvals the per-gate evaluations behind them: work-done metrics
-	// (mode-dependent, excluded from the bit-exactness contract, like
-	// the timing fields).
+	// (excluded from the bit-exactness contract, like the timing
+	// fields).
 	Evals     int64 `json:"evals,omitempty"`
 	NodeEvals int64 `json:"node_evals,omitempty"`
 	// Sizes is the optimized sizing vector (one library size index per

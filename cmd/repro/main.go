@@ -8,6 +8,7 @@
 //	repro erf                           Section 4.3 erf-approximation table
 //	repro engines [circuit ...]         Engine accuracy/speed comparison
 //	repro correlation [circuit ...]     Correlation-aware engine vs independence
+//	repro scoreboard [circuit ...]      Cross-optimizer scoreboard (alu1 alu2 c432)
 //	repro all                           Everything above in sequence
 //
 // See DESIGN.md for the experiment index and EXPERIMENTS.md for a
@@ -51,8 +52,10 @@ func main() {
 		err = runEngines(args)
 	case "correlation":
 		err = runCorrelation(args)
+	case "scoreboard":
+		err = runScoreboard(args)
 	case "all":
-		for _, c := range []func([]string) error{runTable1, runFig1, runFig3, runFig4, runErf, runEngines, runCorrelation} {
+		for _, c := range []func([]string) error{runTable1, runFig1, runFig3, runFig4, runErf, runEngines, runCorrelation, runScoreboard} {
 			if err = c(nil); err != nil {
 				break
 			}
@@ -69,33 +72,8 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, `usage: repro <table1|fig1|fig3|fig4|erf|engines|correlation|all> [flags]`)
+	fmt.Fprintln(os.Stderr, `usage: repro <table1|fig1|fig3|fig4|erf|engines|correlation|scoreboard|all> [flags]`)
 }
-
-// workersFlag registers the shared -workers knob on a subcommand's flag
-// set (see internal/cliutil; the optimizer scores candidates
-// concurrently only when the flag is explicitly >= 2 — deterministic,
-// but a different move ordering than the serial default, DESIGN.md
-// section 7).
-func workersFlag(fs *flag.FlagSet) *int {
-	return cliutil.WorkersFlag(fs)
-}
-
-// parseWorkers parses a subcommand's flags and validates the -workers
-// value, rejecting negatives with a clear error.
-func parseWorkers(fs *flag.FlagSet, workers *int, args []string) error {
-	return cliutil.ParseWorkers(fs, workers, args)
-}
-
-// lintFlag registers the shared -lint knob on a subcommand's flag set
-// (see internal/cliutil): the named benchmark designs are structurally
-// linted before the experiment runs.
-func lintFlag(fs *flag.FlagSet) *bool { return cliutil.LintFlag(fs) }
-
-// incrementalFlag registers the shared -incremental knob (see
-// internal/cliutil): the optimizers repair timing incrementally by
-// default, with bit-identical results to a full recompute per pass.
-func incrementalFlag(fs *flag.FlagSet) *bool { return cliutil.IncrementalFlag(fs) }
 
 // lintDesigns generates and lints each named built-in benchmark when
 // enabled: diagnostics (with gate names) go to stderr, error-severity
@@ -123,10 +101,9 @@ func lintDesigns(enabled bool, names ...string) error {
 func runTable1(args []string) error {
 	fs := flag.NewFlagSet("table1", flag.ExitOnError)
 	csv := fs.Bool("csv", false, "emit CSV instead of a formatted table")
-	workers := workersFlag(fs)
-	incr := incrementalFlag(fs)
-	lint := lintFlag(fs)
-	if err := parseWorkers(fs, workers, args); err != nil {
+	workers := cliutil.WorkersFlag(fs)
+	lint := cliutil.LintFlag(fs)
+	if err := cliutil.ParseWorkers(fs, workers, args); err != nil {
 		return err
 	}
 	names := fs.Args()
@@ -136,7 +113,7 @@ func runTable1(args []string) error {
 	if err := lintDesigns(*lint, names...); err != nil {
 		return err
 	}
-	rows, err := experiments.Table1(names, experiments.Config{Workers: *workers, FullRecompute: !*incr})
+	rows, err := experiments.Table1(names, experiments.Config{Workers: *workers})
 	if err != nil {
 		return err
 	}
@@ -162,16 +139,15 @@ func pct(v float64) string { return fmt.Sprintf("%+.0f%%", v) }
 func runFig1(args []string) error {
 	fs := flag.NewFlagSet("fig1", flag.ExitOnError)
 	circuit := fs.String("circuit", "c880", "benchmark to plot")
-	workers := workersFlag(fs)
-	incr := incrementalFlag(fs)
-	lint := lintFlag(fs)
-	if err := parseWorkers(fs, workers, args); err != nil {
+	workers := cliutil.WorkersFlag(fs)
+	lint := cliutil.LintFlag(fs)
+	if err := cliutil.ParseWorkers(fs, workers, args); err != nil {
 		return err
 	}
 	if err := lintDesigns(*lint, *circuit); err != nil {
 		return err
 	}
-	res, err := experiments.Fig1(*circuit, experiments.Config{Workers: *workers, FullRecompute: !*incr})
+	res, err := experiments.Fig1(*circuit, experiments.Config{Workers: *workers})
 	if err != nil {
 		return err
 	}
@@ -215,16 +191,15 @@ func runFig3(args []string) error {
 func runFig4(args []string) error {
 	fs := flag.NewFlagSet("fig4", flag.ExitOnError)
 	circuit := fs.String("circuit", "c432", "benchmark to sweep")
-	workers := workersFlag(fs)
-	incr := incrementalFlag(fs)
-	lint := lintFlag(fs)
-	if err := parseWorkers(fs, workers, args); err != nil {
+	workers := cliutil.WorkersFlag(fs)
+	lint := cliutil.LintFlag(fs)
+	if err := cliutil.ParseWorkers(fs, workers, args); err != nil {
 		return err
 	}
 	if err := lintDesigns(*lint, *circuit); err != nil {
 		return err
 	}
-	pts, err := experiments.Fig4(*circuit, nil, experiments.Config{Workers: *workers, FullRecompute: !*incr})
+	pts, err := experiments.Fig4(*circuit, nil, experiments.Config{Workers: *workers})
 	if err != nil {
 		return err
 	}
@@ -265,7 +240,7 @@ func runErf(args []string) error {
 
 func runCorrelation(args []string) error {
 	fs := flag.NewFlagSet("correlation", flag.ExitOnError)
-	lint := lintFlag(fs)
+	lint := cliutil.LintFlag(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -313,10 +288,9 @@ func abs(x float64) float64 {
 
 func runEngines(args []string) error {
 	fs := flag.NewFlagSet("engines", flag.ExitOnError)
-	workers := workersFlag(fs)
-	incr := incrementalFlag(fs)
-	lint := lintFlag(fs)
-	if err := parseWorkers(fs, workers, args); err != nil {
+	workers := cliutil.WorkersFlag(fs)
+	lint := cliutil.LintFlag(fs)
+	if err := cliutil.ParseWorkers(fs, workers, args); err != nil {
 		return err
 	}
 	names := fs.Args()
@@ -326,7 +300,7 @@ func runEngines(args []string) error {
 	if err := lintDesigns(*lint, names...); err != nil {
 		return err
 	}
-	rows, err := experiments.Engines(names, 20000, experiments.Config{Workers: *workers, FullRecompute: !*incr})
+	rows, err := experiments.Engines(names, 20000, experiments.Config{Workers: *workers})
 	if err != nil {
 		return err
 	}
@@ -343,6 +317,44 @@ func runEngines(args []string) error {
 			fmt.Sprintf("%.1f", r.FastMeanErrPct), fmt.Sprintf("%.1f", r.FastSigmaErrPct),
 			fmt.Sprintf("%.0f", r.DominancePct),
 			r.MCTime.Round(1e6), r.FullTime.Round(1e6), r.FastTime.Round(1e3))
+	}
+	return tab.Write(os.Stdout)
+}
+
+// runScoreboard runs the sizing backends from the same mean-delay-
+// optimized starting point and scores them on mu + 9*sigma. Workers
+// defaults to 1 (serial scoring, the recorded reference) unless
+// -workers is given.
+func runScoreboard(args []string) error {
+	fs := flag.NewFlagSet("scoreboard", flag.ExitOnError)
+	workers := cliutil.WorkersFlag(fs)
+	if err := cliutil.ParseWorkers(fs, workers, args); err != nil {
+		return err
+	}
+	cfg := experiments.Config{Workers: 1}
+	fs.Visit(func(f *flag.Flag) {
+		if f.Name == "workers" {
+			cfg.Workers = *workers
+		}
+	})
+	names := fs.Args()
+	if len(names) == 0 {
+		names = []string{"alu1", "alu2", "c432"}
+	}
+	const lambda = 9
+	rows, err := experiments.Scoreboard(names, []string{"meandelay", "statgreedy", "sensitivity"}, lambda, cfg)
+	if err != nil {
+		return err
+	}
+	tab := &report.Table{
+		Title:   fmt.Sprintf("Cross-optimizer scoreboard: cost mu + %d*sigma from the mean-delay-optimized start", lambda),
+		Headers: []string{"circuit", "backend", "cost before", "cost after", "area before", "area after", "iters", "stopped", "evals", "node evals", "time"},
+	}
+	for _, r := range rows {
+		tab.AddRow(r.Circuit, r.Optimizer,
+			fmt.Sprintf("%.0f", r.CostBefore), fmt.Sprintf("%.0f", r.CostAfter),
+			fmt.Sprintf("%.0f", r.AreaBefore), fmt.Sprintf("%.0f", r.AreaAfter),
+			r.Iterations, r.StoppedBy, r.Evals, r.NodeEvals, r.Runtime.Round(1e6))
 	}
 	return tab.Write(os.Stdout)
 }

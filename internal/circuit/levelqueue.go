@@ -1,7 +1,7 @@
 package circuit
 
 // LevelQueue is the dirty-gate work queue shared by the incremental
-// timing engines (deterministic, FULLSSTA and FASSTA): a min-heap of
+// timing engines (deterministic STA and FULLSSTA): a min-heap of
 // gates ordered by logic level, with duplicate suppression. Popping in
 // level order guarantees a gate is re-evaluated only after every dirty
 // gate in its transitive fanin has been re-evaluated — the invariant

@@ -33,14 +33,6 @@ func WorkersFlag(fs *flag.FlagSet) *int {
 		"engine worker goroutines (0 = all CPUs, 1 = serial; >= 2 also enables concurrent optimizer scoring)")
 }
 
-// IncrementalFlag registers the shared -incremental flag: the optimizers'
-// whole-circuit analyses run as dirty-cone incremental repairs (bit-identical
-// to full recompute, default) unless disabled.
-func IncrementalFlag(fs *flag.FlagSet) *bool {
-	return fs.Bool("incremental", true,
-		"repair timing incrementally inside the optimizers (bit-identical; false = full recompute per pass)")
-}
-
 // CheckWorkers validates a parsed -workers value: 0 (all CPUs) and any
 // positive count are accepted, negatives are rejected with an error that
 // names the flag.

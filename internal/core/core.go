@@ -121,16 +121,9 @@ type Options struct {
 	// 0 means 0.01. The direct RecoverArea call takes it as an explicit
 	// argument instead.
 	SlackFrac float64
-	// Incremental selects dirty-cone incremental timing for every
-	// whole-circuit analysis inside the optimizers (ssta.Incremental for
-	// the statistical ones, the exact-mode sta.Incremental for
-	// MeanDelayGreedy): after one full analysis, each re-analysis repairs
-	// only the fanout cones of the gates that were resized, cutting off
-	// where values come out bit-identical. Results are bit-identical to
-	// full recomputation — only the wall time changes (the public
-	// repro.RunOptions surface and the CLIs default this ON and expose
-	// it as -incremental; the raw core.Options zero value keeps the
-	// historical full recompute).
+	// Deprecated: ignored. The optimizers always repair timing
+	// incrementally (see analyzer); the field remains only so existing
+	// callers that set it keep compiling.
 	Incremental bool
 }
 
@@ -337,21 +330,18 @@ type Result struct {
 	Iterations int
 	Runtime    time.Duration
 	// AnalysisTime is the wall time spent in whole-circuit timing
-	// analysis (full recomputes, or the initial analysis plus dirty-cone
-	// repairs when Options.Incremental is set) — the quantity the
-	// full-vs-incremental benchmark in cmd/benchpar compares.
+	// analysis (the initial analysis plus dirty-cone repairs and what-if
+	// passes) — the quantity perfbench reports as core.analysis_ms.
 	AnalysisTime time.Duration
 	// StoppedBy explains termination: "converged", "target", "max-iters".
 	StoppedBy string
 	// Evals counts the timing evaluations the run requested: whole-circuit
 	// analyses, batched what-if candidates, and FASSTA subcircuit scorings.
 	// NodeEvals counts the per-gate evaluations behind the whole-circuit
-	// work (every gate for a full recompute, only the repaired or probed
-	// cone for an incremental one). Both measure work done, not wall time —
-	// the quantity the cross-optimizer scoreboard compares — and, like the
-	// timing fields, they are NOT part of the bit-exactness contract:
-	// full-recompute and incremental runs land on identical sizings with
-	// different eval counts.
+	// work (every gate for the initial analysis, only the repaired or
+	// probed cone afterwards). Both measure work done, not wall time —
+	// the quantity the cross-optimizer scoreboard compares — and, like
+	// the timing fields, they are NOT part of the bit-exactness contract.
 	Evals     int64
 	NodeEvals int64
 }
@@ -389,11 +379,10 @@ func StatisticalGreedy(d *synth.Design, vm *variation.Model, opts Options) (*Res
 	}
 
 	// All whole-circuit analyses go through the analyzer, which serves
-	// them either by full recompute or by incremental dirty-cone repair
-	// (Options.Incremental) with bit-identical values. In incremental
-	// mode `full` is the engine's shared in-place-updated object, so the
-	// loop below captures every cost it needs as a scalar and re-refreshes
-	// after each RestoreSizes instead of retaining result pointers.
+	// them by incremental dirty-cone repair. `full` is the engine's shared
+	// in-place-updated object, so the loop below captures every cost it
+	// needs as a scalar and re-refreshes after each RestoreSizes instead
+	// of retaining result pointers.
 	az := newStatAnalyzer(d, vm, opts)
 	full := az.refresh()
 	res.Initial = snapshot(d, full, opts.Lambda)
@@ -444,8 +433,8 @@ func StatisticalGreedy(d *synth.Design, vm *variation.Model, opts Options) (*Res
 			break
 		}
 		// The cone move seeds from the iteration-start analysis; capture
-		// them now, before any refresh retargets the (possibly shared
-		// incremental) result object to a tentative configuration.
+		// them now, before any refresh retargets the shared incremental
+		// result object to a tentative configuration.
 		var coneSeeds []circuit.GateID
 		if opts.ConeMove {
 			coneSeeds = worstOutputs(d, full, opts.Lambda, opts.topK())
@@ -562,9 +551,9 @@ func StatisticalGreedy(d *synth.Design, vm *variation.Model, opts Options) (*Res
 			}
 		}
 		// Move A — the most common winner — is scored by refreshing the
-		// analyzer at its sizing: its application IS its analysis, so in
-		// incremental mode the engine's dirty-cone repair does double duty
-		// and no separate probe overlay is ever built for it. The remaining
+		// analyzer at its sizing: its application IS its analysis, so the
+		// engine's dirty-cone repair does double duty and no separate probe
+		// overlay is ever built for it. The remaining
 		// moves are scored as what-if candidates expressed against sizesA
 		// (the circuit's configuration at probe time); the costs are
 		// bit-identical to applying each move and re-analyzing, so the
@@ -687,10 +676,10 @@ func MeanDelayGreedy(d *synth.Design, vm *variation.Model, opts Options) (*Resul
 		d.Circuit.RestoreSizes(resume.Sizes)
 	}
 
-	// Same analyzer discipline as StatisticalGreedy: `nominal` may be the
+	// Same analyzer discipline as StatisticalGreedy: `nominal` wraps the
 	// incremental engine's shared object, so the loop keeps scalar costs
 	// and re-refreshes after every RestoreSizes.
-	az := newDetAnalyzer(d, opts)
+	az := newDetAnalyzer(d)
 	nominal := az.refresh()
 	res.Initial = Snapshot{Mean: nominal.STA.MaxArrival, Cost: nominal.STA.MaxArrival, Area: d.Area()}
 	best := res.Initial
@@ -768,8 +757,7 @@ func MeanDelayGreedy(d *synth.Design, vm *variation.Model, opts Options) (*Resul
 			d.Circuit.RestoreSizes(sizesA)
 		}
 		// Re-refresh so `nominal` is the analysis of the winning sizing
-		// (a memo hit returning the historical fullA/fullB object in full
-		// mode, a no-op repair in incremental mode).
+		// (a no-op repair when the winner is already applied).
 		nominal = az.refresh()
 		res.History = append(res.History, IterStats{
 			Iter: iter, Cost: cur.Cost, Mean: cur.Mean, Area: cur.Area,
@@ -896,8 +884,7 @@ func recoverArea(d *synth.Design, vm *variation.Model, opts Options, slackFrac f
 		if newCost > budget {
 			// Batch overshot the global budget: roll back and retry more
 			// conservatively, re-refreshing so `full` again reflects the
-			// pre-batch sizing (a memo hit on the previous pass's analysis
-			// in full mode, a repair in incremental mode).
+			// pre-batch sizing (served by the engine's Rollback).
 			d.Circuit.RestoreSizes(before)
 			full = az.refresh()
 			localSlack /= 2

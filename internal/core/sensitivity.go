@@ -87,8 +87,7 @@ func sensLess(a, b sensMove) bool {
 // The run honors the full Options machinery: Ctx is polled once per
 // outer iteration, Workers parallelizes the batch pass (bit-identical
 // at any worker count — unlike StatisticalGreedy, this backend's answer
-// does not depend on Workers), Incremental selects the dirty-cone
-// engine, Checkpoint/Resume retrace interrupted runs bit-for-bit, and
+// does not depend on Workers), Checkpoint/Resume retrace interrupted runs bit-for-bit, and
 // Seed keys the deterministic tie-breaking between equal-score moves.
 func SensitivitySizer(d *synth.Design, vm *variation.Model, opts Options) (*Result, error) {
 	if err := opts.validate(); err != nil {
@@ -235,8 +234,7 @@ func SensitivitySizer(d *synth.Design, vm *variation.Model, opts Options) (*Resu
 			d.Circuit.Gate(m.gate).SizeIdx = m.size
 		}
 		// Applying the set IS its analysis: the refresh repairs the dirty
-		// cones (or recomputes, in full mode) and verifies the set
-		// globally in one shot.
+		// cones and verifies the set globally in one shot.
 		full = az.refresh()
 		move := "sens-batch"
 		resized := len(chosen)

@@ -14,7 +14,7 @@ func TestSensitivitySizerImprovesCost(t *testing.T) {
 		t.Fatal(err)
 	}
 	d, vm := original(t, c)
-	res, err := SensitivitySizer(d, vm, Options{Lambda: 9, MaxIters: 12, Incremental: true})
+	res, err := SensitivitySizer(d, vm, Options{Lambda: 9, MaxIters: 12})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func TestSensitivitySizerWorkerIndependent(t *testing.T) {
 	run := func(workers int) (*Result, []int) {
 		dd := cloneDesign(d)
 		r, err := SensitivitySizer(dd, vm, Options{
-			Lambda: 9, MaxIters: 10, Workers: workers, Incremental: true,
+			Lambda: 9, MaxIters: 10, Workers: workers,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -73,7 +73,7 @@ func TestSensitivitySizerSeedDeterministic(t *testing.T) {
 	run := func(seed int64) []int {
 		dd := cloneDesign(d)
 		if _, err := SensitivitySizer(dd, vm, Options{
-			Lambda: 3, MaxIters: 8, Seed: seed, Incremental: true,
+			Lambda: 3, MaxIters: 8, Seed: seed,
 		}); err != nil {
 			t.Fatal(err)
 		}
@@ -91,7 +91,7 @@ func TestSensitivitySizerResumeBitExact(t *testing.T) {
 	}
 	d, vm := original(t, c)
 	baseSizes := d.Circuit.SizeSnapshot()
-	opts := Options{Lambda: 9, MaxIters: 12, Incremental: true}
+	opts := Options{Lambda: 9, MaxIters: 12}
 
 	col := &collector{}
 	ref := cloneDesign(d)
@@ -218,7 +218,7 @@ func TestOptimizerBackendsRunnable(t *testing.T) {
 			t.Fatalf("registry lost %q", name)
 		}
 		dd := cloneDesign(d)
-		res, err := o.Run(dd, vm, Options{Lambda: 3, MaxIters: 3, Incremental: true})
+		res, err := o.Run(dd, vm, Options{Lambda: 3, MaxIters: 3})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

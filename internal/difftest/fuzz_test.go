@@ -8,7 +8,6 @@ import (
 	"repro/internal/cells"
 	"repro/internal/circuit"
 	"repro/internal/core"
-	"repro/internal/fassta"
 	"repro/internal/ssta"
 	"repro/internal/synth"
 	"repro/internal/variation"
@@ -16,7 +15,7 @@ import (
 
 // FuzzIncrementalResize fuzzes (netlist, resize-op stream): any netlist
 // the strict parser and the technology mapper accept must survive an
-// arbitrary op stream on both incremental engines without panicking,
+// arbitrary op stream on the incremental FULLSSTA engine without panicking,
 // with every step bit-identical to a from-scratch analysis. Netlists
 // the load path rejects (the cyclic and undriven lint fixtures below
 // seed that side of the corpus) must be rejected before an engine is
@@ -62,25 +61,16 @@ func FuzzIncrementalResize(f *testing.F) {
 		}
 
 		sinc := ssta.NewIncremental(d, vm, ssta.Options{Points: 8})
-		finc := fassta.NewIncremental(d, vm, true)
 		for i := 0; i+1 < len(ops); i += 2 {
 			g := logic[int(ops[i])%len(logic)]
 			size := int(ops[i+1]) % d.Lib.NumSizes(cells.Kind(c.Gate(g).CellRef))
-			// The engines share one design: the FULLSSTA engine applies the
-			// resize, the FASSTA engine picks it up as an external edit via
-			// Sync. Every third op rolls straight back, exercising both
-			// journals.
+			// Every third op rolls straight back, exercising the journal.
 			sinc.Resize(g, size)
-			finc.Sync()
 			if i%6 == 4 {
 				sinc.Rollback()
-				finc.Rollback()
 			}
 			if err := CompareSSTA(sinc.Result(), ssta.Analyze(d, vm, ssta.Options{Points: 8})); err != nil {
 				t.Fatalf("ssta diverged at op %d: %v\nsrc:\n%s", i, err, src)
-			}
-			if err := CompareFASSTA(finc.Result(), fassta.AnalyzeGlobal(d, vm, true)); err != nil {
-				t.Fatalf("fassta diverged at op %d: %v\nsrc:\n%s", i, err, src)
 			}
 		}
 	})
@@ -88,8 +78,8 @@ func FuzzIncrementalResize(f *testing.F) {
 
 // FuzzOptimizerInvariants is the cross-optimizer fuzz oracle: no
 // registered backend, on any netlist the load path accepts, under any
-// fuzzer-chosen (backend, lambda, iteration budget, workers, mode,
-// seed) combination, may return a design whose from-scratch re-analysis
+// fuzzer-chosen (backend, lambda, iteration budget, workers, seed)
+// combination, may return a design whose from-scratch re-analysis
 // disagrees with its reported Result, worsen its cost metric, or (for
 // the recovery pass) grow area — the CheckOptimizer contract.
 func FuzzOptimizerInvariants(f *testing.F) {
@@ -120,12 +110,11 @@ func FuzzOptimizerInvariants(f *testing.F) {
 		name := names[int(backendSel)%len(names)]
 		lambda := []float64{0, 3, 9}[int(lambdaSel)%3]
 		opts := core.Options{
-			Lambda:      lambda,
-			MaxIters:    1 + int(knobs&0x03),
-			PDFPoints:   8,
-			Workers:     1 + 3*int(knobs>>2&0x01),
-			Incremental: knobs>>3&0x01 == 0,
-			Seed:        seed,
+			Lambda:    lambda,
+			MaxIters:  1 + int(knobs&0x03),
+			PDFPoints: 8,
+			Workers:   1 + 3*int(knobs>>2&0x01),
+			Seed:      seed,
 		}
 		if _, err := CheckOptimizer(name, d, vm, opts); err != nil {
 			t.Fatalf("%v\nsrc:\n%s", err, src)

@@ -15,8 +15,8 @@ import (
 // which verifies the invariants no sizing backend may violate —
 // monotone cost improvement (or the recovery pass's slack budget), the
 // area constraint of the recovery pass, and exact agreement between the
-// reported Result and a from-scratch re-analysis of the design the
-// backend left behind. Like the engine helpers above, everything
+// reported Result — and every checkpoint along the way — and a
+// from-scratch re-analysis of the design the backend produced. Like the engine helpers above, everything
 // returns errors so the fuzz oracle (FuzzOptimizerInvariants) and the
 // package tests share one implementation.
 
@@ -28,20 +28,66 @@ const bestTol = 1e-6
 
 // CheckOptimizer runs the named registered backend on d (in place, like
 // every optimizer) and verifies the cross-backend invariants on what it
-// returns. The *Result is handed back so callers can pin trajectories.
+// returns, plus the trajectory oracle: a recorder chained onto
+// opts.Checkpoint captures every emitted checkpoint, and each one's
+// reported Cost must be bit-equal to a from-scratch re-analysis of its
+// Sizes (see CheckTrajectory). The *Result is handed back so callers
+// can pin trajectories.
 func CheckOptimizer(name string, d *synth.Design, vm *variation.Model, opts core.Options) (*core.Result, error) {
 	o, ok := core.LookupOptimizer(name)
 	if !ok {
 		return nil, fmt.Errorf("optimizer %q not registered (have %v)", name, core.Optimizers())
 	}
-	res, err := o.Run(d, vm, opts)
+	var cps []core.Checkpoint
+	run := opts
+	run.Checkpoint = func(cp core.Checkpoint) {
+		cps = append(cps, cp)
+		if opts.Checkpoint != nil {
+			opts.Checkpoint(cp)
+		}
+	}
+	res, err := o.Run(d, vm, run)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", name, err)
 	}
 	if err := CheckOptimizerResult(name, d, vm, opts, res); err != nil {
 		return res, err
 	}
+	if err := CheckTrajectory(d, vm, opts, cps); err != nil {
+		return res, fmt.Errorf("%s: %w", name, err)
+	}
 	return res, nil
+}
+
+// CheckTrajectory re-analyzes every checkpoint's Sizes from scratch on
+// a clone of d and requires the checkpoint's Cost to match bit for bit:
+// the nominal MaxArrival for "mean-delay" checkpoints, FULLSSTA's
+// mu + lambda*sigma (at opts' Points and Workers, like the final check)
+// otherwise. Because the optimizers' analyzer repairs timing
+// incrementally, this pins every iteration of the run — not only its
+// end point — to a from-scratch analysis.
+func CheckTrajectory(d *synth.Design, vm *variation.Model, opts core.Options, cps []core.Checkpoint) error {
+	if len(cps) == 0 {
+		return nil
+	}
+	dd := &synth.Design{Circuit: d.Circuit.Clone(), Lib: d.Lib}
+	for i, cp := range cps {
+		if len(cp.Sizes) != dd.Circuit.NumGates() {
+			return fmt.Errorf("checkpoint %d (iter %d): %d sizes for %d gates", i, cp.Iter, len(cp.Sizes), dd.Circuit.NumGates())
+		}
+		dd.Circuit.RestoreSizes(cp.Sizes)
+		var want float64
+		if cp.Op == "mean-delay" {
+			want = sta.Analyze(dd).MaxArrival
+		} else {
+			want = ssta.Analyze(dd, vm, ssta.Options{Points: opts.PDFPoints, Workers: opts.Workers}).Cost(dd, opts.Lambda)
+		}
+		if cp.Cost != want {
+			return fmt.Errorf("checkpoint %d (%s iter %d): reported cost %v disagrees with re-analysis %v",
+				i, cp.Op, cp.Iter, cp.Cost, want)
+		}
+	}
+	return nil
 }
 
 // CheckOptimizerResult verifies a completed run's invariants: d must be
@@ -105,8 +151,7 @@ func CheckOptimizerResult(name string, d *synth.Design, vm *variation.Model, opt
 
 // CompareRuns checks two optimizer Results for bit-exact equality on
 // every deterministic field. Wall-time and work counters are excluded:
-// they measure how the answer was computed (full vs incremental, memo
-// hits), not what it is.
+// they measure how the answer was computed, not what it is.
 func CompareRuns(got, want *core.Result) error {
 	if got.Initial != want.Initial {
 		return fmt.Errorf("Initial: got %+v, want %+v", got.Initial, want.Initial)

@@ -1,6 +1,7 @@
 package difftest
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/core"
@@ -57,7 +58,7 @@ func TestOptimizerPortsBitIdentical(t *testing.T) {
 				baseClone := cloneDesign(base)
 				t.Run(circ+"/"+name+"/w"+string(rune('0'+workers)), func(t *testing.T) {
 					t.Parallel()
-					opts := core.Options{Lambda: 9, MaxIters: 8, Workers: workers, Incremental: true}
+					opts := core.Options{Lambda: 9, MaxIters: 8, Workers: workers}
 					dOld := cloneDesign(baseClone)
 					wantRes, wantSizes, err := run(dOld, vm, opts)
 					if err != nil {
@@ -87,32 +88,27 @@ func TestOptimizerPortsBitIdentical(t *testing.T) {
 }
 
 // TestOptimizerProperties runs every registered backend through the
-// invariant oracle across the worker x analysis-mode matrix: cost never
-// worsens (or stays within the recovery pass's slack budget), area only
-// shrinks where it must, and the reported Final snapshot agrees
-// bit-for-bit with a from-scratch re-analysis of the returned design.
+// invariant oracle at Workers 1 and 4 (subtests keep the "incr" suffix
+// of the incremental analyzer they exercise): cost never worsens (or
+// stays within the recovery pass's slack budget), area only shrinks
+// where it must, and the reported Final snapshot and every checkpoint
+// agree bit-for-bit with a from-scratch re-analysis.
 func TestOptimizerProperties(t *testing.T) {
 	base, vm := originalDesign(t, "alu2")
 	for _, name := range core.Optimizers() {
 		for _, workers := range []int{1, 4} {
-			for _, incremental := range []bool{true, false} {
-				name, workers, incremental := name, workers, incremental
-				mode := "incr"
-				if !incremental {
-					mode = "full"
+			name, workers := name, workers
+			d := cloneDesign(base)
+			t.Run(name+"/w"+string(rune('0'+workers))+"/incr", func(t *testing.T) {
+				t.Parallel()
+				opts := core.Options{
+					Lambda: 3, MaxIters: 4, PDFPoints: 8,
+					Workers: workers, Seed: 42,
 				}
-				d := cloneDesign(base)
-				t.Run(name+"/w"+string(rune('0'+workers))+"/"+mode, func(t *testing.T) {
-					t.Parallel()
-					opts := core.Options{
-						Lambda: 3, MaxIters: 4, PDFPoints: 8,
-						Workers: workers, Incremental: incremental, Seed: 42,
-					}
-					if _, err := CheckOptimizer(name, d, vm, opts); err != nil {
-						t.Fatal(err)
-					}
-				})
-			}
+				if _, err := CheckOptimizer(name, d, vm, opts); err != nil {
+					t.Fatal(err)
+				}
+			})
 		}
 	}
 }
@@ -120,7 +116,6 @@ func TestOptimizerProperties(t *testing.T) {
 // TestOptimizerSeededEquivalence pins the determinism contracts on a
 // Table-1 circuit, per backend:
 //
-//   - full-vs-incremental analysis is bit-identical (every backend);
 //   - a repeated run with identical options is bit-identical (every
 //     backend);
 //   - Workers 1 vs 4 is bit-identical for the sensitivity backend,
@@ -129,12 +124,12 @@ func TestOptimizerProperties(t *testing.T) {
 //     Workers >= 2, so it carries no such pin — see core.Options.)
 func TestOptimizerSeededEquivalence(t *testing.T) {
 	base, vm := originalDesign(t, "alu2")
-	run := func(t *testing.T, name string, workers int, incremental bool) (*core.Result, []int) {
+	run := func(t *testing.T, name string, workers int) (*core.Result, []int) {
 		t.Helper()
 		d := cloneDesign(base)
 		opts := core.Options{
 			Lambda: 9, MaxIters: 6, PDFPoints: 8,
-			Workers: workers, Incremental: incremental, Seed: 7,
+			Workers: workers, Seed: 7,
 		}
 		res, err := CheckOptimizer(name, d, vm, opts)
 		if err != nil {
@@ -146,9 +141,9 @@ func TestOptimizerSeededEquivalence(t *testing.T) {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			refRes, refSizes := run(t, name, 1, true)
+			refRes, refSizes := run(t, name, 1)
 
-			againRes, againSizes := run(t, name, 1, true)
+			againRes, againSizes := run(t, name, 1)
 			if err := CompareRuns(againRes, refRes); err != nil {
 				t.Fatalf("repeat run not deterministic: %v", err)
 			}
@@ -156,16 +151,8 @@ func TestOptimizerSeededEquivalence(t *testing.T) {
 				t.Fatalf("repeat run not deterministic: %v", err)
 			}
 
-			fullRes, fullSizes := run(t, name, 1, false)
-			if err := CompareRuns(fullRes, refRes); err != nil {
-				t.Fatalf("full-vs-incremental diverged: %v", err)
-			}
-			if err := CompareSizes(fullSizes, refSizes); err != nil {
-				t.Fatalf("full-vs-incremental diverged: %v", err)
-			}
-
 			if name == "sensitivity" {
-				wRes, wSizes := run(t, name, 4, true)
+				wRes, wSizes := run(t, name, 4)
 				if err := CompareRuns(wRes, refRes); err != nil {
 					t.Fatalf("workers 1 vs 4 diverged: %v", err)
 				}
@@ -188,10 +175,15 @@ func TestOptimizerOracleCatchesDrift(t *testing.T) {
 
 	base, vm := originalDesign(t, "alu1")
 	d := cloneDesign(base)
-	opts := core.Options{Lambda: 3, MaxIters: 3, Workers: 1, Incremental: true}
+	var cps []core.Checkpoint
+	opts := core.Options{Lambda: 3, MaxIters: 3, Workers: 1,
+		Checkpoint: func(cp core.Checkpoint) { cps = append(cps, cp) }}
 	res, err := CheckOptimizer("statgreedy", d, vm, opts)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if len(cps) == 0 {
+		t.Fatal("chained checkpoint recorder saw no checkpoints")
 	}
 
 	corrupt := func(name string, mutate func(r *core.Result) *core.Result) {
@@ -214,6 +206,15 @@ func TestOptimizerOracleCatchesDrift(t *testing.T) {
 		return r
 	})
 	corrupt("drifted final", func(r *core.Result) *core.Result { r.Final.Sigma += 0.5; return r })
+
+	// A checkpoint whose reported cost drifted by one ulp from its sizing
+	// must fail the trajectory oracle.
+	drifted := append([]core.Checkpoint(nil), cps...)
+	last := len(drifted) - 1
+	drifted[last].Cost = math.Nextafter(drifted[last].Cost, math.Inf(1))
+	if err := CheckTrajectory(d, vm, opts, drifted); err == nil {
+		t.Error("corrupted checkpoint passed the trajectory oracle")
+	}
 
 	// A design left at the wrong sizing must disagree with the reported
 	// Final even when the Result itself is untouched.

@@ -7,9 +7,9 @@ import (
 )
 
 // TestOptsKeyNormalization pins the result-memo key contract: design
-// identity is carried by the design hash (not the key), the
-// full-recompute flag is normalized out (both modes are bit-identical,
-// so either result answers either request), and genuinely
+// identity is carried by the design hash (not the key), the ignored
+// full_recompute wire field is normalized out (a request still setting
+// it shares the memo entry of one that does not), and genuinely
 // result-changing options still split the key.
 func TestOptsKeyNormalization(t *testing.T) {
 	base := client.JobRequest{Op: client.OpOptimize, Generate: "c432", Lambda: 3}

@@ -666,10 +666,10 @@ func optsKey(req client.JobRequest) string {
 	// hash, so two submissions differing only in library land on two
 	// design entries, not two option keys.
 	req.Format, req.Liberty = "", ""
-	// Incremental vs full recompute is proven bit-identical on every
-	// engine output, so the flag is normalized out of the key: a cached
-	// incremental result answers a full-recompute request and vice versa
-	// (only the advisory runtime fields could differ).
+	// full_recompute is accepted and ignored (the optimizers always
+	// repair incrementally), so it is normalized out of the key: a
+	// request that still sets it shares the memo entry of one that
+	// does not.
 	req.FullRecompute = false
 	// Priority orders scheduling, never results.
 	req.Priority = ""

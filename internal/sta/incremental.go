@@ -12,14 +12,10 @@ import (
 // typical subcircuit-local changes this re-evaluates a few dozen gates
 // instead of the whole netlist.
 //
-// Two change-detection modes exist. The default tolerance mode stops
-// propagation when a value moved by less than epsTiming — the right
-// trade for interactive queries, but the repaired analysis may drift
-// from a from-scratch Analyze by up to the tolerance per node. The
-// exact mode (NewIncrementalExact) cuts off only on exact float
-// equality, which keeps the repaired analysis bit-identical to a full
-// recompute — the contract the optimizer equivalence tests and the
-// statistical incremental engines rely on.
+// Propagation cuts off only on exact float equality of a gate's
+// arrival and slew, which keeps the repaired analysis bit-identical to
+// a from-scratch Analyze — the contract the optimizers' analyzer and
+// internal/difftest rely on.
 type Incremental struct {
 	d *synth.Design
 	r *Result
@@ -29,27 +25,15 @@ type Incremental struct {
 	// after all its dirty fanins).
 	queue *circuit.LevelQueue
 	rev   int
-	exact bool
 	// sizes is the engine's record of every gate's size as of the last
 	// repair, diffed by Sync after external batch edits.
 	sizes []int
 }
 
 // NewIncremental runs one full analysis and prepares the incremental
-// state (tolerance mode). The returned Result is owned by the
-// Incremental and updated in place by Resize; callers must not retain
-// stale copies of its fields.
+// state. The returned Result is owned by the Incremental and updated in
+// place by Resize; callers must not retain stale copies of its fields.
 func NewIncremental(d *synth.Design) *Incremental {
-	return newIncremental(d, false)
-}
-
-// NewIncrementalExact is NewIncremental with the bit-exact cutoff:
-// repaired results are bit-identical to a from-scratch Analyze.
-func NewIncrementalExact(d *synth.Design) *Incremental {
-	return newIncremental(d, true)
-}
-
-func newIncremental(d *synth.Design, exact bool) *Incremental {
 	lv, _ := d.Circuit.Levels()
 	return &Incremental{
 		d:     d,
@@ -57,15 +41,12 @@ func newIncremental(d *synth.Design, exact bool) *Incremental {
 		level: lv,
 		queue: circuit.NewLevelQueue(d.Circuit.NumGates()),
 		rev:   d.Circuit.Revision(),
-		exact: exact,
 		sizes: d.Circuit.SizeSnapshot(),
 	}
 }
 
 // Result returns the up-to-date analysis.
 func (inc *Incremental) Result() *Result { return inc.r }
-
-const epsTiming = 1e-9
 
 // Resize sets gate g to sizeIdx and repairs the analysis. It returns the
 // number of gates re-evaluated (a measure of the dirty region).
@@ -162,13 +143,7 @@ func (inc *Incremental) propagate() int {
 			newSlew = cell.OutSlew.Lookup(slew, load)
 			newArr = arr + newDelay
 		}
-		var changed bool
-		if inc.exact {
-			changed = newArr != r.Arrival[id] || newSlew != r.Slew[id]
-		} else {
-			changed = absDiff(newArr, r.Arrival[id]) > epsTiming ||
-				absDiff(newSlew, r.Slew[id]) > epsTiming
-		}
+		changed := newArr != r.Arrival[id] || newSlew != r.Slew[id]
 		r.Arrival[id] = newArr
 		r.Slew[id] = newSlew
 		r.Delay[id] = newDelay
@@ -189,11 +164,4 @@ func (inc *Incremental) propagate() int {
 		}
 	}
 	return touched
-}
-
-func absDiff(a, b float64) float64 {
-	if a > b {
-		return a - b
-	}
-	return b - a
 }
