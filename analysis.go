@@ -164,8 +164,8 @@ func (d *Design) WhatIf(edits []WhatIfEdit, opts RunOptions) (WhatIfReport, erro
 }
 
 // WhatIfBatch evaluates K candidate sizings — each a list of edits
-// against the design's current sizes — in one pass over the flat-arena
-// FULLSSTA engine (ssta.Flat.BatchWhatIf): the clean analysis is
+// against the design's current sizes — in one pass over the FULLSSTA
+// engine (ssta.Incremental.BatchWhatIf): the clean analysis is
 // computed once and every candidate repairs only its dirty cone into a
 // per-worker overlay. Reports come back in candidate order, each
 // bit-identical to what WhatIf on that candidate alone reports, and the
@@ -198,12 +198,13 @@ func (d *Design) WhatIfBatch(cands [][]WhatIfEdit, opts RunOptions) ([]WhatIfRep
 			changes[ci][i] = ssta.SizeChange{Gate: id, Size: e.Size}
 		}
 	}
-	f := ssta.NewFlat(d.d, d.vm, opts.ssta())
-	outs := f.BatchWhatIf(changes, 0, opts.ssta().Workers)
+	eng := ssta.NewIncremental(d.d, d.vm, opts.ssta())
+	clean := eng.Result()
+	outs := eng.BatchWhatIf(changes, 0, opts.Workers)
 	reps := make([]WhatIfReport, len(outs))
 	for i, o := range outs {
 		reps[i] = WhatIfReport{
-			MeanBefore: f.Mean(), SigmaBefore: f.Sigma(),
+			MeanBefore: clean.Mean, SigmaBefore: clean.Sigma,
 			MeanAfter: o.Mean, SigmaAfter: o.Sigma,
 			NodesRepaired: int64(o.Touched),
 			Gates:         d.d.Circuit.NumGates(),

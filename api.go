@@ -14,6 +14,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/montecarlo"
 	"repro/internal/ssta"
+	"repro/internal/sta"
 	"repro/internal/synth"
 	"repro/internal/variation"
 	"repro/internal/wnss"
@@ -123,7 +124,7 @@ type RunOptions struct {
 	// (see internal/core.Options.Workers).
 	Workers int
 	// PDFPoints caps the discrete-PDF resolution of FULLSSTA (0 = the
-	// engine default).
+	// engine default, at most MaxPDFPoints).
 	PDFPoints int
 	// MaxIters caps the optimizers' outer loops (0 = the engine default,
 	// 100). Analysis entry points ignore it.
@@ -232,8 +233,18 @@ func (o RunOptions) checkpointing() (func(core.Checkpoint), int, *core.Checkpoin
 	return cb, o.CheckpointEvery, checkpointToCore(o.Resume)
 }
 
+// MaxPDFPoints bounds RunOptions.PDFPoints. FULLSSTA's cost grows
+// roughly as the fourth power of the PDF resolution (per gate, a Sum
+// convolves p x p points and re-sorts them before binning), and the
+// engine reserves NumGates x PDFPoints support points up front. One
+// c432 analysis at Workers=1 on a 2-CPU x86-64 host takes ~2 ms at 12
+// points, ~0.4 s at 64 and ~2.2 s at 100. The paper samples 10-15
+// points; the largest resolution the repo's own experiments use is 25.
+const MaxPDFPoints = 64
+
 // Validate rejects execution options no engine can honor: negative
-// worker counts, PDF resolutions or iteration caps. The zero value is
+// worker counts, PDF resolutions that are negative or above
+// MaxPDFPoints, or negative iteration caps. The zero value is
 // always valid. Entry points call it before touching the design, so an
 // invalid request never mutates anything.
 func (o RunOptions) Validate() error {
@@ -242,6 +253,9 @@ func (o RunOptions) Validate() error {
 	}
 	if o.PDFPoints < 0 {
 		return fmt.Errorf("repro: negative PDF resolution %d", o.PDFPoints)
+	}
+	if o.PDFPoints > MaxPDFPoints {
+		return fmt.Errorf("repro: PDF resolution %d above the maximum %d", o.PDFPoints, MaxPDFPoints)
 	}
 	if o.MaxIters < 0 {
 		return fmt.Errorf("repro: negative iteration cap %d", o.MaxIters)
@@ -585,8 +599,7 @@ func (d *Design) WNSSPath(lambda float64) []string {
 // CriticalPath traces the deterministic worst-slack path, for comparison
 // with WNSSPath.
 func (d *Design) CriticalPath() []string {
-	full := ssta.Analyze(d.d, d.vm, ssta.Options{})
-	path := full.STA.CriticalPath(d.d)
+	path := sta.Analyze(d.d).CriticalPath(d.d)
 	names := make([]string, len(path))
 	for i, id := range path {
 		names[i] = d.d.Circuit.Gate(id).Name

@@ -106,6 +106,10 @@ func BenchmarkEnginesComparison(b *testing.B) {
 func BenchmarkFULLSSTASmall(b *testing.B) { benchFULLSSTA(b, "c432") }
 func BenchmarkFULLSSTALarge(b *testing.B) { benchFULLSSTA(b, "c6288") }
 
+// benchFULLSSTA times ssta.Analyze: the FULLSSTA engine's full pass
+// into one PDF arena at the default worker count. The allocations it
+// reports are the Result's and the kernel workspace's, not one PDF per
+// node.
 func benchFULLSSTA(b *testing.B, name string) {
 	d, vm, err := experiments.NewDesign(name)
 	if err != nil {
@@ -124,6 +128,9 @@ func BenchmarkFULLSSTAParallel1(b *testing.B) { benchFULLSSTAWorkers(b, 1) }
 func BenchmarkFULLSSTAParallel4(b *testing.B) { benchFULLSSTAWorkers(b, 4) }
 func BenchmarkFULLSSTAParallel8(b *testing.B) { benchFULLSSTAWorkers(b, 8) }
 
+// benchFULLSSTAWorkers times the same full pass on c6288 with its
+// level-barrier schedule at a fixed worker count; every count is
+// bit-identical to Workers=1.
 func benchFULLSSTAWorkers(b *testing.B, workers int) {
 	d, vm, err := experiments.NewDesign("c6288")
 	if err != nil {

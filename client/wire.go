@@ -65,7 +65,9 @@ type JobRequest struct {
 	// Samples and Seed drive the Monte-Carlo engine.
 	Samples int   `json:"samples,omitempty"`
 	Seed    int64 `json:"seed,omitempty"`
-	// Workers, PDFPoints and MaxIters mirror repro.RunOptions.
+	// Workers, PDFPoints and MaxIters mirror repro.RunOptions. A
+	// PDFPoints above repro.MaxPDFPoints is rejected at submission with
+	// HTTP 400 and a machine-readable diagnostic (check "pdf_points").
 	Workers   int `json:"workers,omitempty"`
 	PDFPoints int `json:"pdf_points,omitempty"`
 	MaxIters  int `json:"max_iters,omitempty"`

@@ -188,7 +188,7 @@ func (e *sstaEngine) ResizeBatch(changes []sizeChange) int {
 	return e.inc.ResizeAll(batch)
 }
 func (e *sstaEngine) Verify() error {
-	return CompareSSTA(e.inc.Result(), ssta.Analyze(e.d, e.vm, e.opts))
+	return CompareSSTA(e.inc.Result(), ReferenceSSTA(e.d, e.vm, e.opts.Points))
 }
 
 // staEngine adapts the deterministic sta.Incremental. It has

@@ -90,7 +90,7 @@ type fasstaScoring struct {
 }
 
 func (e *fasstaScoring) Verify() error {
-	full := ssta.Analyze(e.d, e.vm, e.opts)
+	full := ReferenceSSTA(e.d, e.vm, e.opts.Points)
 	for _, g := range e.targets {
 		got := e.ex.Extract(e.inc.Result(), e.vm, g, fassta.DefaultDepth)
 		want := fassta.Extract(e.d, full, e.vm, g, fassta.DefaultDepth)
@@ -159,7 +159,7 @@ func TestIncrementalSTABitExact(t *testing.T) {
 // analysis, and a rollback with no open transaction must be a no-op.
 func TestRollbackRestoresExactState(t *testing.T) {
 	d, vm := iscas("c432")(t)
-	before := ssta.Analyze(d, vm, ssta.Options{})
+	before := ReferenceSSTA(d, vm, 0)
 	inc := ssta.NewIncremental(d, vm, ssta.Options{})
 
 	var batch []ssta.SizeChange
@@ -269,7 +269,7 @@ func TestFanoutDisjointResizeNotReevaluated(t *testing.T) {
 func TestDominancePathsPruneIdentically(t *testing.T) {
 	d, vm := iscas("alu3")(t)
 	c := d.Circuit
-	full := ssta.Analyze(d, vm, ssta.Options{})
+	full := ReferenceSSTA(d, vm, 0)
 
 	// Find gates where one fanin's arrival support dominates another's.
 	type site struct {
@@ -311,7 +311,7 @@ func TestDominancePathsPruneIdentically(t *testing.T) {
 			}
 			n := d.Lib.NumSizes(cells.Kind(gate.CellRef))
 			inc.Resize(cg, (gate.SizeIdx+1)%n)
-			if err := CompareSSTA(inc.Result(), ssta.Analyze(d, vm, ssta.Options{})); err != nil {
+			if err := CompareSSTA(inc.Result(), ReferenceSSTA(d, vm, 0)); err != nil {
 				t.Fatalf("dominance site (gate %d): %v", s.gate, err)
 			}
 			tried++

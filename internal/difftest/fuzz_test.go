@@ -69,7 +69,7 @@ func FuzzIncrementalResize(f *testing.F) {
 			if i%6 == 4 {
 				sinc.Rollback()
 			}
-			if err := CompareSSTA(sinc.Result(), ssta.Analyze(d, vm, ssta.Options{Points: 8})); err != nil {
+			if err := CompareSSTA(sinc.Result(), ReferenceSSTA(d, vm, 8)); err != nil {
 				t.Fatalf("ssta diverged at op %d: %v\nsrc:\n%s", i, err, src)
 			}
 		}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/ssta"
 	"repro/internal/sta"
 	"repro/internal/synth"
 	"repro/internal/variation"
@@ -62,8 +61,8 @@ func CheckOptimizer(name string, d *synth.Design, vm *variation.Model, opts core
 // CheckTrajectory re-analyzes every checkpoint's Sizes from scratch on
 // a clone of d and requires the checkpoint's Cost to match bit for bit:
 // the nominal MaxArrival for "mean-delay" checkpoints, FULLSSTA's
-// mu + lambda*sigma (at opts' Points and Workers, like the final check)
-// otherwise. Because the optimizers' analyzer repairs timing
+// mu + lambda*sigma (ReferenceSSTA at opts' Points, like the final
+// check) otherwise. Because the optimizers' analyzer repairs timing
 // incrementally, this pins every iteration of the run — not only its
 // end point — to a from-scratch analysis.
 func CheckTrajectory(d *synth.Design, vm *variation.Model, opts core.Options, cps []core.Checkpoint) error {
@@ -80,7 +79,7 @@ func CheckTrajectory(d *synth.Design, vm *variation.Model, opts core.Options, cp
 		if cp.Op == "mean-delay" {
 			want = sta.Analyze(dd).MaxArrival
 		} else {
-			want = ssta.Analyze(dd, vm, ssta.Options{Points: opts.PDFPoints, Workers: opts.Workers}).Cost(dd, opts.Lambda)
+			want = ReferenceSSTA(dd, vm, opts.PDFPoints).Cost(dd, opts.Lambda)
 		}
 		if cp.Cost != want {
 			return fmt.Errorf("checkpoint %d (%s iter %d): reported cost %v disagrees with re-analysis %v",
@@ -137,7 +136,7 @@ func CheckOptimizerResult(name string, d *synth.Design, vm *variation.Model, opt
 		r := sta.Analyze(d)
 		want = core.Snapshot{Mean: r.MaxArrival, Cost: r.MaxArrival, Area: d.Area()}
 	} else {
-		full := ssta.Analyze(d, vm, ssta.Options{Points: opts.PDFPoints, Workers: opts.Workers})
+		full := ReferenceSSTA(d, vm, opts.PDFPoints)
 		want = core.Snapshot{
 			Mean: full.Mean, Sigma: full.Sigma,
 			Cost: full.Cost(d, opts.Lambda), Area: d.Area(),

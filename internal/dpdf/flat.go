@@ -71,6 +71,27 @@ func (a *Arena) PDF(i int) PDF {
 	}
 }
 
+// Packed copies every slot, in slot order, back to back into one
+// exactly sized block and returns views of it: the read-only form of an
+// arena whose slots will not be written again, without the stride
+// padding of slots shorter than the stride.
+func (a *Arena) Packed() []PDF {
+	total := 0
+	for _, k := range a.n {
+		total += int(k)
+	}
+	buf := make([]float64, 2*total)
+	xs, ps := buf[:0:total], buf[total:total]
+	out := make([]PDF, len(a.n))
+	for i := range out {
+		v := a.View(i)
+		start := len(xs)
+		xs, ps = append(xs, v.xs...), append(ps, v.ps...)
+		out[i] = PDF{xs: xs[start:len(xs):len(xs)], ps: ps[start:len(ps):len(ps)]}
+	}
+	return out
+}
+
 // Set copies p into slot i. p may alias the slot itself.
 func (a *Arena) Set(i int, p PDF) {
 	if len(p.xs) > a.stride {

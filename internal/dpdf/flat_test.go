@@ -154,6 +154,35 @@ func TestArenaViewAndMoments(t *testing.T) {
 	}
 }
 
+func TestArenaPacked(t *testing.T) {
+	rng := rand.New(rand.NewSource(53))
+	ar := NewArena(5, 16)
+	total := 0
+	for i := 0; i < 4; i++ { // slot 4 stays empty
+		ar.Set(i, flatPDF(rng, 2+rng.Intn(14)))
+		total += ar.Len(i)
+	}
+	packed := ar.Packed()
+	if len(packed) != ar.Nodes() {
+		t.Fatalf("Packed returned %d PDFs for %d slots", len(packed), ar.Nodes())
+	}
+	for i, p := range packed {
+		if !equalPDF(p, ar.View(i)) {
+			t.Fatalf("packed slot %d differs from the arena", i)
+		}
+	}
+	if c := cap(packed[0].xs); c != ar.Len(0) {
+		t.Fatalf("packed view capacity %d, want its length %d", c, ar.Len(0))
+	}
+	ar.SetPoint(0, 1e9)
+	if equalPDF(packed[0], ar.View(0)) {
+		t.Fatal("packed PDFs alias the arena")
+	}
+	if n := testing.AllocsPerRun(5, func() { ar.Packed() }); n != 2 {
+		t.Fatalf("Packed makes %v allocations, want 2 (total %d points)", n, total)
+	}
+}
+
 func TestArenaKernelsDoNotAllocate(t *testing.T) {
 	var s Scratch
 	ar := NewArena(4, 12)

@@ -300,6 +300,18 @@ func TestE2EValidationAndErrors(t *testing.T) {
 		}
 	}
 
+	// An unbounded PDF resolution is a 400 naming the check, before any
+	// worker is tied up with it.
+	_, err := c.Submit(ctx, client.JobRequest{Op: client.OpAnalyze, Generate: "c432", PDFPoints: repro.MaxPDFPoints + 1})
+	var apiErr *client.APIError
+	if !errors.As(err, &apiErr) || apiErr.Status != http.StatusBadRequest {
+		t.Fatalf("oversized pdf_points: got %v, want a 400 *client.APIError", err)
+	}
+	if len(apiErr.Body.Diagnostics) != 1 || apiErr.Body.Diagnostics[0].Check != "pdf_points" ||
+		apiErr.Body.Diagnostics[0].Severity != "error" {
+		t.Errorf("oversized pdf_points: diagnostics %+v, want one pdf_points error", apiErr.Body.Diagnostics)
+	}
+
 	if _, err := c.Job(ctx, "j999999"); err == nil {
 		t.Error("polling an unknown job succeeded")
 	}

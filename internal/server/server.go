@@ -710,6 +710,22 @@ func validateOptimizer(req *client.JobRequest) *client.Diagnostic {
 	}
 }
 
+// validatePDFPoints bounds the request's PDF resolution at
+// repro.MaxPDFPoints, returning the machine-readable diagnostic for the
+// 400 envelope (nil = valid): FULLSSTA's cost grows roughly as the
+// fourth power of the resolution, so one unbounded field could hold a
+// job worker for hours.
+func validatePDFPoints(req *client.JobRequest) *client.Diagnostic {
+	if req.PDFPoints <= repro.MaxPDFPoints {
+		return nil
+	}
+	return &client.Diagnostic{
+		Check:    "pdf_points",
+		Severity: "error",
+		Msg:      fmt.Sprintf("pdf_points %d above the maximum %d", req.PDFPoints, repro.MaxPDFPoints),
+	}
+}
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(io.LimitReader(r.Body, s.cfg.maxBody()+1))
 	if err != nil {
@@ -729,12 +745,14 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	if d := validateOptimizer(&req); d != nil {
-		writeJSON(w, http.StatusBadRequest, client.ErrorBody{
-			Error:       d.Msg,
-			Diagnostics: []client.Diagnostic{*d},
-		})
-		return
+	for _, check := range []func(*client.JobRequest) *client.Diagnostic{validateOptimizer, validatePDFPoints} {
+		if d := check(&req); d != nil {
+			writeJSON(w, http.StatusBadRequest, client.ErrorBody{
+				Error:       d.Msg,
+				Diagnostics: []client.Diagnostic{*d},
+			})
+			return
+		}
 	}
 
 	// An Idempotency-Key we have already admitted means this submit is

@@ -7,9 +7,6 @@ import (
 	"repro/internal/dpdf"
 	"repro/internal/normal"
 	"repro/internal/parallel"
-	"repro/internal/sta"
-	"repro/internal/synth"
-	"repro/internal/variation"
 )
 
 // WhatIfOutcome is the circuit-level summary of one hypothetical sizing,
@@ -30,55 +27,38 @@ type WhatIfOutcome struct {
 	Changed bool
 }
 
-// batchRunner is the shared core of the BatchWhatIf entry points: a
-// read-only clean analysis plus per-worker overlay state. Candidates are
-// evaluated against the clean state only — the shared engine, circuit
-// sizes, and clean result are never written — so K candidates fan out
-// over workers with bit-deterministic results at any worker count.
-type batchRunner struct {
-	d      *synth.Design
-	vm     *variation.Model
-	pts    int
-	lambda float64
-	level  []int32
-
-	// Clean-state accessors. cleanSTA is read directly; cleanPDF and
-	// cleanNode abstract over heap-PDF (Incremental) and arena (Flat)
-	// storage.
-	cleanSTA  *sta.Result
-	cleanPDF  func(circuit.GateID) dpdf.PDF
-	cleanNode func(circuit.GateID) normal.Moments
-	clean     WhatIfOutcome
-}
-
-// whatIfWorker is one worker's overlay: sparse copy-on-write views of
-// the deterministic arrays, the arrival-PDF arena, node moments, and
-// size overrides. Overlay slots shadow the clean analysis; everything
-// not marked dirty reads through to it. Reset is O(touched).
+// whatIfWorker is one worker's overlay over the engine's clean state:
+// sparse copy-on-write views of the deterministic arrays, the
+// arrival-PDF arena, node moments, and size overrides. Overlay slots
+// shadow the clean analysis; everything not marked dirty reads through
+// to it. Candidates never write the engine, the circuit sizes or the
+// clean Result, so K candidates fan out over workers with
+// bit-deterministic results at any worker count. Reset is O(touched).
 type whatIfWorker struct {
-	kern  dpdf.Scratch
-	ops   []dpdf.PDF
+	inc *Incremental
+	scratch
 	queue *circuit.LevelQueue
 	over  *dpdf.Arena // arrival PDFs; slot n = candidate circuit PDF
 	// An overlay arena slot with Len > 0 shadows the clean arrival PDF;
 	// staDirty marks shadowed deterministic values. Input gates set only
 	// the latter (their statistical arrival is pinned at Point(0)).
-	staDirty          []bool
-	arr, slew, inSlew []float64
-	mom               []normal.Moments
-	touched           []circuit.GateID
-	sizeOv            []int32 // -1 = no override
-	sizeTouched       []circuit.GateID
+	staDirty    []bool
+	arr, slew   []float64
+	mom         []normal.Moments
+	touched     []circuit.GateID
+	sizeOv      []int32 // -1 = no override
+	sizeTouched []circuit.GateID
 }
 
-func newWhatIfWorker(n, pts int) *whatIfWorker {
+func newWhatIfWorker(inc *Incremental) *whatIfWorker {
+	n := inc.d.Circuit.NumGates()
 	w := &whatIfWorker{
+		inc:      inc,
 		queue:    circuit.NewLevelQueue(n),
-		over:     dpdf.NewArena(n+1, pts),
+		over:     dpdf.NewArena(n+1, inc.arena.Stride()),
 		staDirty: make([]bool, n),
 		arr:      make([]float64, n),
 		slew:     make([]float64, n),
-		inSlew:   make([]float64, n),
 		mom:      make([]normal.Moments, n),
 		sizeOv:   make([]int32, n),
 	}
@@ -101,50 +81,50 @@ func (w *whatIfWorker) reset() {
 	w.sizeTouched = w.sizeTouched[:0]
 }
 
-func (w *whatIfWorker) staArr(b *batchRunner, id circuit.GateID) float64 {
+func (w *whatIfWorker) staArr(id circuit.GateID) float64 {
 	if w.staDirty[id] {
 		return w.arr[id]
 	}
-	return b.cleanSTA.Arrival[id]
+	return w.inc.r.STA.Arrival[id]
 }
 
-func (w *whatIfWorker) staSlew(b *batchRunner, id circuit.GateID) float64 {
+func (w *whatIfWorker) staSlew(id circuit.GateID) float64 {
 	if w.staDirty[id] {
 		return w.slew[id]
 	}
-	return b.cleanSTA.Slew[id]
+	return w.inc.r.STA.Slew[id]
 }
 
-func (w *whatIfWorker) pdf(b *batchRunner, id circuit.GateID) dpdf.PDF {
+func (w *whatIfWorker) pdf(id circuit.GateID) dpdf.PDF {
 	if w.over.Len(int(id)) > 0 {
 		return w.over.View(int(id))
 	}
-	return b.cleanPDF(id)
+	return w.inc.arena.View(int(id))
 }
 
-func (w *whatIfWorker) nodeMoments(b *batchRunner, id circuit.GateID) normal.Moments {
+func (w *whatIfWorker) nodeMoments(id circuit.GateID) normal.Moments {
 	if w.over.Len(int(id)) > 0 {
 		return w.mom[id]
 	}
-	return b.cleanNode(id)
+	return w.inc.r.Node[id]
 }
 
-func (w *whatIfWorker) size(b *batchRunner, id circuit.GateID) int {
+func (w *whatIfWorker) size(id circuit.GateID) int {
 	if s := w.sizeOv[id]; s >= 0 {
 		return int(s)
 	}
-	return b.d.Circuit.Gate(id).SizeIdx
+	return w.inc.d.Circuit.Gate(id).SizeIdx
 }
 
 // load mirrors synth.Design.Load under the candidate's size overrides:
 // same traversal order, same additions, bit-identical when no override
 // applies.
-func (w *whatIfWorker) load(b *batchRunner, id circuit.GateID) float64 {
-	d := b.d
+func (w *whatIfWorker) load(id circuit.GateID) float64 {
+	d := w.inc.d
 	g := d.Circuit.Gate(id)
 	load := 0.0
 	for _, fo := range g.Fanout {
-		load += d.CellAt(fo, w.size(b, fo)).InputCap
+		load += d.CellAt(fo, w.size(fo)).InputCap
 	}
 	for _, po := range d.Circuit.Outputs {
 		if po == id {
@@ -156,9 +136,10 @@ func (w *whatIfWorker) load(b *batchRunner, id circuit.GateID) float64 {
 }
 
 // evaluate runs one candidate through the overlay: seed the dirty set,
-// repair level-ordered with the exact Incremental cutoff, summarize.
-func (b *batchRunner) evaluate(w *whatIfWorker, changes []SizeChange) WhatIfOutcome {
-	c := b.d.Circuit
+// repair level-ordered with the engine's exact cutoff, summarize.
+func (w *whatIfWorker) evaluate(clean WhatIfOutcome, changes []SizeChange, lambda float64) WhatIfOutcome {
+	inc := w.inc
+	c := inc.d.Circuit
 	for _, ch := range changes {
 		if c.Gate(ch.Gate).SizeIdx == ch.Size && w.sizeOv[ch.Gate] < 0 {
 			continue
@@ -167,9 +148,9 @@ func (b *batchRunner) evaluate(w *whatIfWorker, changes []SizeChange) WhatIfOutc
 			w.sizeTouched = append(w.sizeTouched, ch.Gate)
 		}
 		w.sizeOv[ch.Gate] = int32(ch.Size)
-		w.queue.Push(ch.Gate, b.level[ch.Gate])
+		w.queue.Push(ch.Gate, inc.level[ch.Gate])
 		for _, f := range c.Gate(ch.Gate).Fanin {
-			w.queue.Push(f, b.level[f])
+			w.queue.Push(f, inc.level[f])
 		}
 	}
 	touched := 0
@@ -180,38 +161,34 @@ func (b *batchRunner) evaluate(w *whatIfWorker, changes []SizeChange) WhatIfOutc
 			break
 		}
 		touched++
-		if b.recompute(w, id) {
+		if w.recompute(id) {
 			anyChanged = true
 			for _, fo := range c.Gate(id).Fanout {
-				w.queue.Push(fo, b.level[fo])
+				w.queue.Push(fo, inc.level[fo])
 			}
 		}
 	}
-	out := b.clean
+	out := clean
 	out.Touched = touched
 	out.Changed = anyChanged
 	if anyChanged {
 		// Mirror refreshSummary / Result.Cost through the overlay.
-		maxArr := math.Inf(-1)
-		for _, po := range c.Outputs {
-			if a := w.staArr(b, po); a > maxArr {
-				maxArr = a
-			}
-		}
-		if len(c.Outputs) == 0 {
-			maxArr = 0
-		}
+		out.MaxArrival, out.Cost = math.Inf(-1), math.Inf(-1)
 		w.ops = w.ops[:0]
 		for _, po := range c.Outputs {
-			w.ops = append(w.ops, w.pdf(b, po))
+			if a := w.staArr(po); a > out.MaxArrival {
+				out.MaxArrival = a
+			}
+			m := w.nodeMoments(po)
+			if cost := m.Mean + lambda*m.Sigma(); cost > out.Cost {
+				out.Cost = cost
+			}
+			w.ops = append(w.ops, w.pdf(po))
 		}
-		top := c.NumGates()
-		w.over.MaxNInto(&w.kern, top, w.ops, b.pts)
-		m := w.over.Moments(top)
-		out.Mean = m.Mean
-		out.Sigma = math.Sqrt(m.Var)
-		out.MaxArrival = maxArr
-		out.Cost = b.poCost(func(po circuit.GateID) normal.Moments { return w.nodeMoments(b, po) })
+		if len(c.Outputs) == 0 {
+			out.MaxArrival, out.Cost = 0, 0
+		}
+		out.Mean, out.Sigma = w.sink(w.over, c.NumGates(), inc.pts)
 	}
 	w.reset()
 	return out
@@ -221,18 +198,19 @@ func (b *batchRunner) evaluate(w *whatIfWorker, changes []SizeChange) WhatIfOutc
 // Incremental.recompute operation for operation; "changed" compares
 // against the clean analysis (each node is visited at most once per
 // candidate, so the clean value IS the previous value).
-func (b *batchRunner) recompute(w *whatIfWorker, id circuit.GateID) bool {
-	d := b.d
+func (w *whatIfWorker) recompute(id circuit.GateID) bool {
+	inc := w.inc
+	d := inc.d
 	g := d.Circuit.Gate(id)
+	if !w.staDirty[id] {
+		w.staDirty[id] = true
+		w.touched = append(w.touched, id)
+	}
 
 	if g.Fn == circuit.Input {
-		newArr := d.Lib.PrimaryInputRes * w.load(b, id)
+		newArr := d.Lib.PrimaryInputRes * w.load(id)
 		newSlew := d.Lib.PrimaryInputSlew
-		changed := newArr != w.staArr(b, id) || newSlew != w.staSlew(b, id)
-		if !w.staDirty[id] {
-			w.staDirty[id] = true
-			w.touched = append(w.touched, id)
-		}
+		changed := newArr != inc.r.STA.Arrival[id] || newSlew != inc.r.STA.Slew[id]
 		w.arr[id] = newArr
 		w.slew[id] = newSlew
 		return changed
@@ -240,80 +218,28 @@ func (b *batchRunner) recompute(w *whatIfWorker, id circuit.GateID) bool {
 
 	var fArr, fSlew float64
 	for _, f := range g.Fanin {
-		if a := w.staArr(b, f); a > fArr {
+		if a := w.staArr(f); a > fArr {
 			fArr = a
 		}
-		if s := w.staSlew(b, f); s > fSlew {
+		if s := w.staSlew(f); s > fSlew {
 			fSlew = s
 		}
 	}
-	cell := d.CellAt(id, w.size(b, id))
-	load := w.load(b, id)
+	cell := d.CellAt(id, w.size(id))
+	load := w.load(id)
 	newDelay := cell.Delay.Lookup(fSlew, load)
 	newSlew := cell.OutSlew.Lookup(fSlew, load)
 	newArr := fArr + newDelay
-	changed := newArr != w.staArr(b, id) || newSlew != w.staSlew(b, id)
-	if !w.staDirty[id] {
-		w.staDirty[id] = true
-		w.touched = append(w.touched, id)
-	}
-	w.inSlew[id] = fSlew
+	changed := newArr != inc.r.STA.Arrival[id] || newSlew != inc.r.STA.Slew[id]
 	w.slew[id] = newSlew
 	w.arr[id] = newArr
 
-	sigma := b.vm.Sigma(cell, newDelay)
-
 	w.ops = w.ops[:0]
 	for _, f := range g.Fanin {
-		w.ops = append(w.ops, w.pdf(b, f))
+		w.ops = append(w.ops, w.pdf(f))
 	}
-	slot := int(id)
-	temp := w.kern.TempNormal(newDelay, sigma, b.pts)
-	if len(w.ops) == 1 {
-		w.over.SumInto(&w.kern, slot, w.ops[0], temp, b.pts)
-	} else {
-		w.over.MaxNInto(&w.kern, slot, w.ops, b.pts)
-		w.over.SumInto(&w.kern, slot, w.over.View(slot), temp, b.pts)
-	}
-	if !w.over.Equal(slot, b.cleanPDF(id)) {
-		changed = true
-	}
-	w.mom[id] = w.over.Moments(slot)
-	return changed
-}
-
-// poCost is Result.Cost over an arbitrary moments accessor.
-func (b *batchRunner) poCost(node func(circuit.GateID) normal.Moments) float64 {
-	worst := math.Inf(-1)
-	for _, po := range b.d.Circuit.Outputs {
-		m := node(po)
-		if c := m.Mean + b.lambda*m.Sigma(); c > worst {
-			worst = c
-		}
-	}
-	if len(b.d.Circuit.Outputs) == 0 {
-		return 0
-	}
-	return worst
-}
-
-// run fans the candidates out over workers, each with its own overlay.
-func (b *batchRunner) run(cands [][]SizeChange, workers int) []WhatIfOutcome {
-	b.clean.Cost = b.poCost(b.cleanNode)
-	n := b.d.Circuit.NumGates()
-	outs := make([]WhatIfOutcome, len(cands))
-	workers = parallel.Resolve(workers)
-	if workers > len(cands) {
-		workers = len(cands)
-	}
-	state := make([]*whatIfWorker, workers)
-	parallel.ForEachWorker(workers, len(cands), func(wi, i int) {
-		if state[wi] == nil {
-			state[wi] = newWhatIfWorker(n, b.pts)
-		}
-		outs[i] = b.evaluate(state[wi], cands[i])
-	})
-	return outs
+	w.mom[id] = w.gate(w.over, int(id), newDelay, inc.vm.Sigma(cell, newDelay), inc.pts)
+	return changed || !w.over.Equal(int(id), inc.arena.View(int(id)))
 }
 
 // BatchWhatIf evaluates K candidate sizings against the engine's current
@@ -337,50 +263,20 @@ func (inc *Incremental) BatchWhatIf(cands [][]SizeChange, lambda float64, worker
 			panic("ssta: circuit sizes diverge from engine state; Sync before BatchWhatIf")
 		}
 	}
-	b := &batchRunner{
-		d:         inc.d,
-		vm:        inc.vm,
-		pts:       inc.pts,
-		lambda:    lambda,
-		level:     inc.level,
-		cleanSTA:  inc.r.STA,
-		cleanPDF:  func(id circuit.GateID) dpdf.PDF { return inc.r.Arrival[id] },
-		cleanNode: func(id circuit.GateID) normal.Moments { return inc.r.Node[id] },
-		clean: WhatIfOutcome{
-			Mean:       inc.r.Mean,
-			Sigma:      inc.r.Sigma,
-			MaxArrival: inc.r.STA.MaxArrival,
-		},
+	clean := WhatIfOutcome{
+		Mean:       inc.r.Mean,
+		Sigma:      inc.r.Sigma,
+		Cost:       inc.r.Cost(inc.d, lambda),
+		MaxArrival: inc.r.STA.MaxArrival,
 	}
-	return b.run(cands, workers)
-}
-
-// BatchWhatIf on the flat engine: identical semantics, with the clean
-// arrival PDFs read straight out of the arena.
-func (f *Flat) BatchWhatIf(cands [][]SizeChange, lambda float64, workers int) []WhatIfOutcome {
-	c := f.d.Circuit
-	if f.rev != c.Revision() {
-		panic("ssta: circuit structure changed under Flat; rebuild it")
-	}
-	for id := 0; id < c.NumGates(); id++ {
-		if c.Gate(circuit.GateID(id)).SizeIdx != f.sizes[id] {
-			panic("ssta: circuit sizes diverge from engine state; Recompute before BatchWhatIf")
+	outs := make([]WhatIfOutcome, len(cands))
+	workers = min(parallel.Resolve(workers), len(cands))
+	state := make([]*whatIfWorker, workers)
+	parallel.ForEachWorker(workers, len(cands), func(wi, i int) {
+		if state[wi] == nil {
+			state[wi] = newWhatIfWorker(inc)
 		}
-	}
-	b := &batchRunner{
-		d:         f.d,
-		vm:        f.vm,
-		pts:       f.pts,
-		lambda:    lambda,
-		level:     f.level,
-		cleanSTA:  f.sta,
-		cleanPDF:  func(id circuit.GateID) dpdf.PDF { return f.arena.View(int(id)) },
-		cleanNode: func(id circuit.GateID) normal.Moments { return f.node[id] },
-		clean: WhatIfOutcome{
-			Mean:       f.mean,
-			Sigma:      f.sigma,
-			MaxArrival: f.sta.MaxArrival,
-		},
-	}
-	return b.run(cands, workers)
+		outs[i] = state[wi].evaluate(clean, cands[i], lambda)
+	})
+	return outs
 }

@@ -6,6 +6,8 @@ import (
 	"repro/internal/circuit"
 	"repro/internal/dpdf"
 	"repro/internal/normal"
+	"repro/internal/parallel"
+	"repro/internal/sta"
 	"repro/internal/synth"
 	"repro/internal/variation"
 )
@@ -16,9 +18,10 @@ type SizeChange struct {
 	Size int
 }
 
-// Incremental maintains a FULLSSTA analysis across gate resizes without
-// full recomputation. A resize dirties the gate (its cell changed) and
-// its fanin drivers (their load changed), then repairs level-ordered
+// Incremental is the FULLSSTA engine. Construction runs the full pass;
+// afterwards it maintains the analysis across gate resizes without full
+// recomputation. A resize dirties the gate (its cell changed) and its
+// fanin drivers (their load changed), then repairs level-ordered
 // through the fanout cone, stopping early at nodes whose deterministic
 // arrival/slew AND arrival PDF come out bit-identical to their previous
 // values.
@@ -26,32 +29,40 @@ type SizeChange struct {
 // The cutoff is exact, not a tolerance: every per-node computation is a
 // deterministic pure function of the fanin values and the gate's cell,
 // so bit-equal inputs reproduce bit-equal outputs, and by induction a
-// pruned cone is exactly what a from-scratch Analyze would recompute.
+// pruned cone is exactly what a from-scratch analysis would recompute.
 // The differential harness in internal/difftest asserts this
-// bit-for-bit on every node after every step.
+// bit-for-bit on every node after every step, against its own naive
+// reference propagator.
 //
-// The Result returned by Result() is owned by the engine and updated in
-// place; callers must not retain stale copies of its fields across
+// Every node PDF lives in one dpdf.Arena and is repaired in place; the
+// Result returned by Result() is owned by the engine, its Arrival and
+// CircuitPDF are views into that arena, and all of it is updated in
+// place. Callers must not retain its fields (PDFs included) across
 // mutating calls.
 //
 // Each state-changing call (Resize, ResizeAll, Sync) implicitly commits
 // the previous transaction and opens a new one; Rollback undoes the
 // most recent state-changing call — sizes and analysis both — without
 // re-analysis. Calls that change nothing (resize to the current size,
-// Sync with no diffs) leave the open transaction untouched.
+// Sync with no diffs) leave the open transaction untouched. Once the
+// journal and queue buffers are warm, repairs and rollbacks allocate
+// nothing.
 type Incremental struct {
-	d    *synth.Design
-	vm   *variation.Model
-	opts Options
-	pts  int
-	r    *Result
-	// sigmas keeps the exact per-gate sigma (not sqrt of the stored
-	// variance), mirroring Analyze so PDF discretization stays
-	// bit-identical.
-	sigmas []float64
-	level  []int32
-	queue  *circuit.LevelQueue
-	rev    int
+	d   *synth.Design
+	vm  *variation.Model
+	pts int
+	r   *Result
+	// arena holds every node's arrival PDF (slot = GateID) and the
+	// circuit PDF (slot NumGates()); r.Arrival and r.CircuitPDF are
+	// views into it, re-sliced whenever a slot is rewritten.
+	arena *dpdf.Arena
+	level []int32
+	rev   int
+	sc    scratch
+
+	// Repair state, built by NewIncremental only: Analyze drops the
+	// engine after the full pass.
+	queue *circuit.LevelQueue
 	// sizes is the engine's record of every gate's size as of the last
 	// repair, diffed by Sync after external batch edits.
 	sizes []int
@@ -60,13 +71,13 @@ type Incremental struct {
 	// assert on.
 	evals      []int64
 	totalEvals int64
-	sc         gateScratch
-	pos        []dpdf.PDF
 
 	// Transaction journal: every touched node's prior state, saved once
-	// per transaction, plus the size edits and the circuit summary.
+	// per transaction (its PDF into the same slot of saved), plus the
+	// size edits and the circuit summary.
 	journal   []nodeSave
 	journaled []bool
+	saved     *dpdf.Arena // allocated by the first transaction
 	sizeLog   []sizeSave
 	summary   summarySave
 	hasTxn    bool
@@ -74,10 +85,8 @@ type Incremental struct {
 
 type nodeSave struct {
 	id        circuit.GateID
-	arrival   dpdf.PDF
 	node      normal.Moments
 	gateDelay normal.Moments
-	sigma     float64
 	staArr    float64
 	staSlew   float64
 	staDelay  float64
@@ -90,39 +99,93 @@ type sizeSave struct {
 }
 
 type summarySave struct {
-	circuitPDF  dpdf.PDF
 	mean, sigma float64
 	maxArrival  float64
 	worstPO     circuit.GateID
 }
 
-// NewIncremental runs one full Analyze and prepares the incremental
-// state.
-func NewIncremental(d *synth.Design, vm *variation.Model, opts Options) *Incremental {
-	lv, _ := d.Circuit.Levels()
+// scratch is one goroutine's kernel workspace: the dpdf buffers plus
+// the gathered fanin PDFs of the gate being evaluated.
+type scratch struct {
+	kern dpdf.Scratch
+	ops  []dpdf.PDF
+}
+
+// gate is the one per-gate FULLSSTA kernel: Max over the gathered fanin
+// PDFs (s.ops), plus the gate delay N(delay, sigma^2), written into
+// slot of dst; it returns the slot's moments. The full pass, the cone
+// repair and the BatchWhatIf overlay all evaluate gates here.
+func (s *scratch) gate(dst *dpdf.Arena, slot int, delay, sigma float64, pts int) normal.Moments {
+	temp := s.kern.TempNormal(delay, sigma, pts)
+	if len(s.ops) == 1 {
+		// MaxN over one fanin is that fanin verbatim; fuse into the Sum.
+		dst.SumInto(&s.kern, slot, s.ops[0], temp, pts)
+	} else {
+		dst.MaxNInto(&s.kern, slot, s.ops, pts)
+		dst.SumInto(&s.kern, slot, dst.View(slot), temp, pts)
+	}
+	return dst.Moments(slot)
+}
+
+// sink writes the circuit-delay PDF, Max over the gathered PO PDFs, into
+// slot of dst and returns its mean and sigma.
+func (s *scratch) sink(dst *dpdf.Arena, slot, pts int) (mean, sigma float64) {
+	dst.MaxNInto(&s.kern, slot, s.ops, pts)
+	p := dst.View(slot)
+	return p.Mean(), p.Sigma()
+}
+
+// newEngine runs the full pass: the nominal STA, then every node's
+// arrival PDF in topological order, or level by level over
+// opts.Workers goroutines (bit-identical either way).
+func newEngine(d *synth.Design, vm *variation.Model, opts Options) *Incremental {
 	c := d.Circuit
 	n := c.NumGates()
+	pts := opts.points()
+	// Levels also warms the circuit's lazy topo/level caches before any
+	// goroutine can race on them.
+	lv, depth := c.Levels()
 	inc := &Incremental{
-		d:         d,
-		vm:        vm,
-		opts:      opts,
-		pts:       opts.points(),
-		r:         Analyze(d, vm, opts),
-		sigmas:    make([]float64, n),
-		level:     lv,
-		queue:     circuit.NewLevelQueue(n),
-		rev:       c.Revision(),
-		sizes:     c.SizeSnapshot(),
-		evals:     make([]int64, n),
-		journaled: make([]bool, n),
+		d:     d,
+		vm:    vm,
+		pts:   pts,
+		arena: dpdf.NewArena(n+1, max(pts, 2)), // TempNormal emits >= 2 points
+		level: lv,
+		rev:   c.Revision(),
+		r: &Result{
+			STA:       sta.Analyze(d),
+			Arrival:   make([]dpdf.PDF, n),
+			Node:      make([]normal.Moments, n),
+			GateDelay: make([]normal.Moments, n),
+		},
 	}
-	// Rebuild the exact sigmas Analyze used: vm.Sigma is a pure function
-	// of (cell, mean delay), so this reproduces its values bit-for-bit.
-	for id := range inc.sigmas {
-		if c.Gate(circuit.GateID(id)).Fn != circuit.Input {
-			inc.sigmas[id] = vm.Sigma(d.Cell(circuit.GateID(id)), inc.r.STA.Delay[id])
+	if workers := parallel.Resolve(opts.Workers); workers <= 1 {
+		for _, id := range c.MustTopoOrder() {
+			inc.place(&inc.sc, id)
 		}
+	} else {
+		buckets := make([][]circuit.GateID, depth+1)
+		for _, id := range c.MustTopoOrder() {
+			buckets[lv[id]] = append(buckets[lv[id]], id)
+		}
+		sc := make([]scratch, workers)
+		parallel.Levels(workers, buckets, func(w int, id circuit.GateID) {
+			inc.place(&sc[w], id)
+		})
 	}
+	inc.refreshSummary()
+	return inc
+}
+
+// NewIncremental builds the engine: one full pass, plus the repair
+// state.
+func NewIncremental(d *synth.Design, vm *variation.Model, opts Options) *Incremental {
+	inc := newEngine(d, vm, opts)
+	n := d.Circuit.NumGates()
+	inc.queue = circuit.NewLevelQueue(n)
+	inc.sizes = d.Circuit.SizeSnapshot()
+	inc.evals = make([]int64, n)
+	inc.journaled = make([]bool, n)
 	return inc
 }
 
@@ -230,20 +293,22 @@ func (inc *Incremental) Rollback() {
 		inc.sizes[s.id] = s.oldSize
 	}
 	r := inc.r
-	for _, e := range inc.journal {
-		r.Arrival[e.id] = e.arrival
-		r.Node[e.id] = e.node
-		r.GateDelay[e.id] = e.gateDelay
-		inc.sigmas[e.id] = e.sigma
-		r.STA.Arrival[e.id] = e.staArr
-		r.STA.Slew[e.id] = e.staSlew
-		r.STA.Delay[e.id] = e.staDelay
-		r.STA.InSlew[e.id] = e.staInSlew
-		inc.journaled[e.id] = false
+	for _, j := range inc.journal {
+		inc.arena.Set(int(j.id), inc.saved.View(int(j.id)))
+		r.Arrival[j.id] = inc.arena.View(int(j.id))
+		r.Node[j.id] = j.node
+		r.GateDelay[j.id] = j.gateDelay
+		r.STA.Arrival[j.id] = j.staArr
+		r.STA.Slew[j.id] = j.staSlew
+		r.STA.Delay[j.id] = j.staDelay
+		r.STA.InSlew[j.id] = j.staInSlew
+		inc.journaled[j.id] = false
 	}
 	inc.journal = inc.journal[:0]
 	inc.sizeLog = inc.sizeLog[:0]
-	r.CircuitPDF = inc.summary.circuitPDF
+	top := c.NumGates()
+	inc.arena.Set(top, inc.saved.View(top))
+	r.CircuitPDF = inc.arena.View(top)
 	r.Mean = inc.summary.mean
 	r.Sigma = inc.summary.sigma
 	r.STA.MaxArrival = inc.summary.maxArrival
@@ -260,14 +325,18 @@ func (inc *Incremental) checkRev() {
 // begin commits the previous transaction (drops its journal) and opens
 // a new one, snapshotting the circuit-level summary.
 func (inc *Incremental) begin() {
-	for _, e := range inc.journal {
-		inc.journaled[e.id] = false
+	for _, j := range inc.journal {
+		inc.journaled[j.id] = false
 	}
 	inc.journal = inc.journal[:0]
 	inc.sizeLog = inc.sizeLog[:0]
+	if inc.saved == nil {
+		inc.saved = dpdf.NewArena(inc.arena.Nodes(), inc.arena.Stride())
+	}
+	top := inc.d.Circuit.NumGates()
+	inc.saved.Set(top, inc.arena.View(top))
 	r := inc.r
 	inc.summary = summarySave{
-		circuitPDF: r.CircuitPDF,
 		mean:       r.Mean,
 		sigma:      r.Sigma,
 		maxArrival: r.STA.MaxArrival,
@@ -292,13 +361,12 @@ func (inc *Incremental) save(id circuit.GateID) {
 		return
 	}
 	inc.journaled[id] = true
+	inc.saved.Set(int(id), inc.arena.View(int(id)))
 	r := inc.r
 	inc.journal = append(inc.journal, nodeSave{
 		id:        id,
-		arrival:   r.Arrival[id],
 		node:      r.Node[id],
 		gateDelay: r.GateDelay[id],
-		sigma:     inc.sigmas[id],
 		staArr:    r.STA.Arrival[id],
 		staSlew:   r.STA.Slew[id],
 		staDelay:  r.STA.Delay[id],
@@ -331,11 +399,12 @@ func (inc *Incremental) propagate() int {
 	return touched
 }
 
-// recompute re-derives one node exactly as Analyze would — the
-// deterministic STA part first (mirroring sta.Analyze) and then the
-// arrival PDF (mirroring Analyze's propagate) — and reports whether
-// anything a downstream node reads (deterministic arrival/slew, the
-// arrival PDF) changed.
+// recompute re-derives one node — the deterministic STA part first
+// (mirroring sta.Analyze), then the arrival PDF through place — and
+// reports whether anything a downstream node reads (deterministic
+// arrival/slew, the arrival PDF) changed. The level-ordered queue pops
+// a node at most once per transaction, so its journaled state is its
+// previous value.
 func (inc *Incremental) recompute(id circuit.GateID) bool {
 	inc.save(id)
 	d := inc.d
@@ -349,8 +418,7 @@ func (inc *Incremental) recompute(id circuit.GateID) bool {
 		r.STA.Arrival[id] = newArr
 		r.STA.Slew[id] = newSlew
 		// The statistical arrival at a PI is the degenerate Point(0)
-		// regardless of load (matching Analyze); only the deterministic
-		// view moves.
+		// regardless of load; only the deterministic view moves.
 		return changed
 	}
 
@@ -374,28 +442,33 @@ func (inc *Incremental) recompute(id circuit.GateID) bool {
 	r.STA.Slew[id] = newSlew
 	r.STA.Arrival[id] = newArr
 
-	sigma := inc.vm.Sigma(cell, newDelay)
-	inc.sigmas[id] = sigma
-	r.GateDelay[id] = normal.Moments{Mean: newDelay, Var: sigma * sigma}
+	inc.place(&inc.sc, id)
+	return changed || !inc.arena.Equal(int(id), inc.saved.View(int(id)))
+}
 
-	sc := &inc.sc
-	sc.fanins = sc.fanins[:0]
-	for _, f := range g.Fanin {
-		sc.fanins = append(sc.fanins, r.Arrival[f])
+// place evaluates node id's arrival PDF from its fanins' slots at the
+// gate's current STA delay and publishes it (and its moments) into the
+// Result. A PI's statistical arrival is Point(0).
+func (inc *Incremental) place(s *scratch, id circuit.GateID) {
+	g := inc.d.Circuit.Gate(id)
+	slot := int(id)
+	if g.Fn == circuit.Input {
+		inc.arena.SetPoint(slot, 0)
+	} else {
+		delay := inc.r.STA.Delay[id]
+		sigma := inc.vm.Sigma(inc.d.Cell(id), delay)
+		inc.r.GateDelay[id] = normal.Moments{Mean: delay, Var: sigma * sigma}
+		s.ops = s.ops[:0]
+		for _, f := range g.Fanin {
+			s.ops = append(s.ops, inc.arena.View(int(f)))
+		}
+		inc.r.Node[id] = s.gate(inc.arena, slot, delay, sigma, inc.pts)
 	}
-	arr := sc.kern.MaxN(sc.fanins, inc.pts)
-	arr = sc.kern.Sum(arr, sc.kern.TempNormal(newDelay, sigma, inc.pts), inc.pts)
-	if !arr.Equal(r.Arrival[id]) {
-		changed = true
-	}
-	r.Arrival[id] = arr
-	r.Node[id] = arr.Moments()
-	return changed
+	inc.r.Arrival[id] = inc.arena.View(slot)
 }
 
 // refreshSummary recomputes the circuit-level summary exactly as
-// Analyze and sta.Analyze do, so the repaired Result stays bit-identical
-// to a from-scratch analysis end to end.
+// sta.Analyze does for the deterministic part, plus the circuit PDF.
 func (inc *Incremental) refreshSummary() {
 	c := inc.d.Circuit
 	r := inc.r
@@ -410,14 +483,12 @@ func (inc *Incremental) refreshSummary() {
 	if len(c.Outputs) == 0 {
 		r.STA.MaxArrival = 0
 	}
-	if cap(inc.pos) < len(c.Outputs) {
-		inc.pos = make([]dpdf.PDF, len(c.Outputs))
+	s := &inc.sc
+	s.ops = s.ops[:0]
+	for _, po := range c.Outputs {
+		s.ops = append(s.ops, inc.arena.View(int(po)))
 	}
-	inc.pos = inc.pos[:len(c.Outputs)]
-	for i, po := range c.Outputs {
-		inc.pos[i] = r.Arrival[po]
-	}
-	r.CircuitPDF = inc.sc.kern.MaxN(inc.pos, inc.pts)
-	r.Mean = r.CircuitPDF.Mean()
-	r.Sigma = r.CircuitPDF.Sigma()
+	top := c.NumGates()
+	r.Mean, r.Sigma = s.sink(inc.arena, top, inc.pts)
+	r.CircuitPDF = inc.arena.View(top)
 }

@@ -7,7 +7,13 @@
 // the arrival time at every node — exactly what the paper stores for the
 // fast inner engine (FASSTA) and the WNSS path tracer to consume.
 //
-// Propagation is levelized and optionally parallel: gates within one
+// There is one engine, Incremental, and one per-gate PDF kernel
+// (scratch.gate) behind all of its uses: the full pass that Analyze and
+// NewIncremental run, the in-place cone repair after a resize, and the
+// BatchWhatIf overlay. Every node PDF lives in one dpdf.Arena, so
+// repairs and rollbacks allocate nothing once warm.
+//
+// The full pass is levelized and optionally parallel: gates within one
 // topological level have no data dependencies on each other (every fanin
 // lives at a strictly lower level), so a level-barrier schedule computes
 // them concurrently with bit-identical results — each gate's PDF depends
@@ -20,7 +26,6 @@ import (
 	"repro/internal/circuit"
 	"repro/internal/dpdf"
 	"repro/internal/normal"
-	"repro/internal/parallel"
 	"repro/internal/sta"
 	"repro/internal/synth"
 	"repro/internal/variation"
@@ -63,90 +68,17 @@ type Result struct {
 	Mean, Sigma float64
 }
 
-// gateScratch is one worker's reusable state: the PDF-kernel buffers plus
-// a fanin gather slice.
-type gateScratch struct {
-	kern   dpdf.Scratch
-	fanins []dpdf.PDF
-}
-
-// Analyze runs FULLSSTA over the design under the variation model.
+// Analyze runs FULLSSTA over the design under the variation model. It
+// is the engine's full pass without the repair state. Since nothing
+// will repair the result, its Arrival and CircuitPDF are views into a
+// packed copy of the engine's arena (no per-slot stride padding), and
+// nothing of the engine's scratch or arena is kept alive.
 func Analyze(d *synth.Design, vm *variation.Model, opts Options) *Result {
-	pts := opts.points()
-	workers := parallel.Resolve(opts.Workers)
-	nominal := sta.Analyze(d)
-	c := d.Circuit
-	n := c.NumGates()
-	r := &Result{
-		STA:       nominal,
-		Arrival:   make([]dpdf.PDF, n),
-		Node:      make([]normal.Moments, n),
-		GateDelay: make([]normal.Moments, n),
-	}
-
-	// Per-gate delay moments and input arrivals: cheap, serial. sigmas
-	// keeps the exact sigma (not sqrt of the stored variance) so the PDF
-	// discretization below is bit-identical to what vm.Sigma produced.
-	topo := c.MustTopoOrder()
-	sigmas := make([]float64, n)
-	for _, id := range topo {
-		g := c.Gate(id)
-		if g.Fn == circuit.Input {
-			r.Arrival[id] = dpdf.Point(0)
-			continue
-		}
-		mean := nominal.Delay[id]
-		sigma := vm.Sigma(d.Cell(id), mean)
-		sigmas[id] = sigma
-		r.GateDelay[id] = normal.Moments{Mean: mean, Var: sigma * sigma}
-	}
-
-	// propagate computes one gate's arrival PDF from its (already final)
-	// fanin PDFs, using the worker-owned scratch.
-	propagate := func(sc *gateScratch, id circuit.GateID) {
-		g := c.Gate(id)
-		sc.fanins = sc.fanins[:0]
-		for _, f := range g.Fanin {
-			sc.fanins = append(sc.fanins, r.Arrival[f])
-		}
-		arr := sc.kern.MaxN(sc.fanins, pts)
-		arr = sc.kern.Sum(arr, sc.kern.TempNormal(r.GateDelay[id].Mean, sigmas[id], pts), pts)
-		r.Arrival[id] = arr
-		r.Node[id] = arr.Moments()
-	}
-
-	var sc gateScratch
-	if workers <= 1 {
-		for _, id := range topo {
-			if c.Gate(id).Fn != circuit.Input {
-				propagate(&sc, id)
-			}
-		}
-	} else {
-		// Bucket the non-input gates by topological level. Levels() also
-		// warms the circuit's lazy topo/level caches before any goroutine
-		// can race on them.
-		lv, depth := c.Levels()
-		buckets := make([][]circuit.GateID, depth+1)
-		for _, id := range topo {
-			if c.Gate(id).Fn != circuit.Input {
-				buckets[lv[id]] = append(buckets[lv[id]], id)
-			}
-		}
-		scratch := make([]gateScratch, workers)
-		parallel.Levels(workers, buckets, func(w int, id circuit.GateID) {
-			propagate(&scratch[w], id)
-		})
-	}
-
-	pos := make([]dpdf.PDF, len(c.Outputs))
-	for i, po := range c.Outputs {
-		pos[i] = r.Arrival[po]
-	}
-	r.CircuitPDF = sc.kern.MaxN(pos, pts)
-	r.Mean = r.CircuitPDF.Mean()
-	r.Sigma = r.CircuitPDF.Sigma()
-	return r
+	inc := newEngine(d, vm, opts)
+	pdfs := inc.arena.Packed()
+	n := d.Circuit.NumGates()
+	inc.r.Arrival, inc.r.CircuitPDF = pdfs[:n:n], pdfs[n]
+	return inc.r
 }
 
 // Cost evaluates the paper's objective (eq. 7) at the circuit level:

@@ -20,6 +20,8 @@ func TestRunOptionsValidate(t *testing.T) {
 		{"explicit", RunOptions{Workers: 2, PDFPoints: 15, MaxIters: 3}, ""},
 		{"negWorkers", RunOptions{Workers: -1}, "negative worker count"},
 		{"negPDFPoints", RunOptions{PDFPoints: -4}, "negative PDF resolution"},
+		{"maxPDFPoints", RunOptions{PDFPoints: MaxPDFPoints}, ""},
+		{"hugePDFPoints", RunOptions{PDFPoints: MaxPDFPoints + 1}, "above the maximum"},
 		{"negMaxIters", RunOptions{MaxIters: -7}, "negative iteration cap"},
 	}
 	for _, tc := range cases {
